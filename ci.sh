@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate for the Mnemonic workspace. Run from the repo root.
 #
-#   ./ci.sh         # full gate: fmt, clippy, release build, tests, bench compile, docs
-#   ./ci.sh quick   # skip the release build and bench compile (inner dev loop)
+#   ./ci.sh         # full gate: fmt, clippy, release build, tests, bench compile,
+#                   # benchmark self-test, perf gates, docs
+#   ./ci.sh quick   # skip the release build, bench compile, benchmark self-test
+#                   # and perf gates (inner dev loop)
 #
 # Every step must pass for the script to exit 0.
 
@@ -43,6 +45,11 @@ step cargo test -q --workspace
 
 if [ "$quick" != "quick" ]; then
     step cargo bench --workspace --no-run
+    # Benchmark self-test: the standalone perfbench package (its own
+    # workspace, path deps on the crates) drives the public API at micro
+    # scale and checks that every BENCHMARK.json metric is printed, so a
+    # core API change that breaks the benchmark fails here.
+    step cargo test --release --offline --manifest-path perfbench/Cargo.toml
     # Skew-balancing smoke check: on a skewed enumeration workload the
     # work-stealing pool must not regress wall-clock vs the legacy static
     # chunking policy and must balance the load >= 1.3x better (projected

@@ -38,9 +38,17 @@ const BATCH: usize = 512;
 /// recompute, pooled embedding shells, hoisted enumeration invariants):
 /// measured 1.42-1.50x on the CI box, floored at 1.4x to absorb load drift.
 const MIN_SPEEDUP: f64 = 1.4;
-/// Runs per side (interleaved dense/baseline so box-load drift hits both
-/// sides equally); the medians are compared.
-const RUNS: usize = 7;
+/// Interleaved dense/baseline pairs; the gate takes the median of the
+/// per-pair ratios. Raised from 7 runs per side (whose medians were
+/// compared) together with the stream size: at 7 runs of a ≈ 20 ms replay
+/// the measured ratio sat within jitter of the floor.
+const RUNS: usize = 11;
+/// NetFlow-like stream length. Four times the `tiny` scale, so one replay
+/// takes ≈ 0.1 s per side instead of ≈ 20 ms and a scheduler hiccup moves
+/// one sample by a few per cent instead of tens.
+const EVENTS: usize = 24_000;
+/// Fixed stream seed, so every CI run replays the identical input.
+const SEED: u64 = 0x5EED_0007;
 
 fn config(baseline: bool) -> EngineConfig {
     EngineConfig {
@@ -71,29 +79,41 @@ fn run_ingest(events: &[mnemonic_stream::event::StreamEvent], baseline: bool) ->
 }
 
 fn main() {
-    let events = scaled_netflow(&WorkloadScale::tiny());
+    let events = scaled_netflow(&WorkloadScale {
+        netflow_events: EVENTS,
+        seed: SEED,
+        ..WorkloadScale::tiny()
+    });
 
+    // Each pair runs both sides back to back, alternating which goes first,
+    // and the gate compares the median of the per-pair ratios: a host slow
+    // phase that spans one pair scales both of its walls and cancels out.
     let mut dense_walls = Vec::with_capacity(RUNS);
     let mut baseline_walls = Vec::with_capacity(RUNS);
+    let mut ratios = Vec::with_capacity(RUNS);
     let mut dense_found = 0;
-    let mut baseline_found = 0;
-    for _ in 0..RUNS {
-        let (wall, found) = run_ingest(&events, false);
-        dense_walls.push(wall);
+    for pair in 0..RUNS {
+        let ((dense, found), (baseline, baseline_found)) = if pair % 2 == 0 {
+            let dense = run_ingest(&events, false);
+            (dense, run_ingest(&events, true))
+        } else {
+            let baseline = run_ingest(&events, true);
+            (run_ingest(&events, false), baseline)
+        };
+        assert_eq!(
+            found, baseline_found,
+            "dense and baseline paths must report identical embedding counts"
+        );
         dense_found = found;
-        let (wall, found) = run_ingest(&events, true);
-        baseline_walls.push(wall);
-        baseline_found = found;
+        dense_walls.push(dense);
+        baseline_walls.push(baseline);
+        ratios.push(baseline.as_secs_f64() / dense.as_secs_f64().max(1e-9));
     }
-
-    assert_eq!(
-        dense_found, baseline_found,
-        "dense and baseline paths must report identical embedding counts"
-    );
 
     let dense_wall = median(dense_walls);
     let baseline_wall = median(baseline_walls);
-    let speedup = baseline_wall.as_secs_f64() / dense_wall.as_secs_f64().max(1e-9);
+    ratios.sort_by(f64::total_cmp);
+    let speedup = ratios[RUNS / 2];
 
     println!(
         "hot_path_gate: {} events, triangle query, batch {BATCH}, {dense_found} embeddings",
@@ -102,7 +122,7 @@ fn main() {
     println!("  median wall, retained baseline path  : {baseline_wall:>12.3?}");
     println!("  median wall, dense hot path          : {dense_wall:>12.3?}");
     println!(
-        "  hot-path speedup                     : {speedup:>12.2}x  (gate: >= {MIN_SPEEDUP}x)"
+        "  hot-path speedup (median pair ratio) : {speedup:>12.2}x  (gate: >= {MIN_SPEEDUP}x)"
     );
     println!("gate-ratio: hot_path {speedup:.2}x (floor {MIN_SPEEDUP}x)");
 

@@ -6,10 +6,11 @@
 //! embedding count (the differential sanity check).
 //!
 //! Everything runs single-threaded with the same delta-batch size, so the
-//! comparison isolates the architectural saving from scheduling noise; the
-//! gate margin is deliberately modest because per-query filtering and
-//! enumeration — the dominant phases on enumeration-heavy queries — are not
-//! shared and never will be.
+//! comparison isolates the architectural saving from scheduling noise. The
+//! session also shares the filtering pass (one neighbourhood profile per
+//! affected vertex, one sorted edge order for all queries), but the row
+//! kernel and enumeration — the dominant phases on enumeration-heavy
+//! queries — remain per-query work, so the gate margin stays modest.
 //!
 //! Exit status 0 = all gates passed; 1 = a gate failed.
 //!

@@ -30,6 +30,15 @@ const MIN_MAKESPAN_SPEEDUP: f64 = 1.3;
 /// batch) without tripping on scheduler noise on a loaded CI box. The tight,
 /// deterministic gate is the projected-makespan one above.
 const MAX_WALL_REGRESSION: f64 = 1.5;
+/// Fan size of the skewed fixture. Raised from the default 192 spokes
+/// (≈ 1.7k work units, ≈ 0.5 ms of solo load, where a unit costs a few
+/// hundred nanoseconds and the per-unit timer overhead blurred the skew):
+/// the projected ratio read 1.28–1.36 there, on its floor.
+const SPOKES: u32 = 3072;
+/// Solo measurements per unit; the per-unit median is the weight.
+const WEIGHT_SAMPLES: usize = 7;
+/// Measured wall-clock runs per policy, interleaved chunked/stealing.
+const WALL_RUNS: usize = 5;
 
 fn median(mut xs: Vec<Duration>) -> Duration {
     xs.sort();
@@ -38,24 +47,32 @@ fn median(mut xs: Vec<Duration>) -> Duration {
 
 fn main() {
     let threads = 4;
-    let fixture = SkewFixture::build(SkewConfig::default());
+    let fixture = SkewFixture::build(SkewConfig { spokes: SPOKES });
     let units = fixture.work_units();
-    // Per-unit weights: median of three solo measurements per unit.
-    let samples: Vec<Vec<Duration>> = (0..3).map(|_| fixture.unit_weights(&units)).collect();
+    // Per-unit weights: median of the solo measurements per unit.
+    let samples: Vec<Vec<Duration>> = (0..WEIGHT_SAMPLES)
+        .map(|_| fixture.unit_weights(&units))
+        .collect();
     let weights: Vec<Duration> = (0..units.len())
         .map(|i| median(samples.iter().map(|s| s[i]).collect()))
         .collect();
 
-    // Measured wall clocks, median of five runs per policy.
-    let run_wall = |policy: Policy| -> (Duration, u64) {
-        let runs: Vec<_> = (0..5)
-            .map(|_| fixture.enumerate_parallel(&units, &weights, threads, policy))
-            .collect();
-        let wall = median(runs.iter().map(|r| r.wall).collect());
-        (wall, runs[0].embeddings)
-    };
-    let (chunked_wall, chunked_found) = run_wall(Policy::StaticChunking);
-    let (stealing_wall, stealing_found) = run_wall(Policy::WorkStealing);
+    // Measured wall clocks, median per policy; the policies alternate so
+    // host-load drift hits both equally.
+    let mut chunked_walls = Vec::with_capacity(WALL_RUNS);
+    let mut stealing_walls = Vec::with_capacity(WALL_RUNS);
+    let mut chunked_found = 0;
+    let mut stealing_found = 0;
+    for _ in 0..WALL_RUNS {
+        let run = fixture.enumerate_parallel(&units, &weights, threads, Policy::StaticChunking);
+        chunked_walls.push(run.wall);
+        chunked_found = run.embeddings;
+        let run = fixture.enumerate_parallel(&units, &weights, threads, Policy::WorkStealing);
+        stealing_walls.push(run.wall);
+        stealing_found = run.embeddings;
+    }
+    let chunked_wall = median(chunked_walls);
+    let stealing_wall = median(stealing_walls);
     assert_eq!(
         chunked_found, stealing_found,
         "policies must find the same embeddings"

@@ -36,6 +36,16 @@ thread_local! {
         RefCell::new(PartialEmbedding::new(0, 0));
 }
 
+/// Counts of one work unit's search, kept on the worker's stack and added to
+/// the query's [`EngineCounters`] once per unit: those counters share one
+/// cache line that every worker running the query's units writes, so a
+/// per-step atomic add would make the workers fight over it.
+#[derive(Default)]
+struct UnitTally {
+    candidates_scanned: u64,
+    embeddings_emitted: u64,
+}
+
 /// One work unit: a batch data edge paired with the query edge it matches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkUnit {
@@ -160,18 +170,31 @@ impl<'a> Enumerator<'a> {
 
     /// Run the backtracking search for one work unit.
     pub fn run_work_unit(&self, unit: WorkUnit) {
+        let mut tally = UnitTally::default();
         EMBEDDING_SCRATCH.with(|cell| {
             let mut embedding = cell.borrow_mut();
             embedding.reset_for(self.query.vertex_count(), self.query.edge_count());
-            self.run_work_unit_in(unit, &mut embedding);
+            self.run_work_unit_in(unit, &mut embedding, &mut tally);
         });
+        self.add_tally(&tally);
+    }
+
+    /// Fold one unit's local counts into the shared counters.
+    fn add_tally(&self, tally: &UnitTally) {
+        EngineCounters::add(&self.counters.candidates_scanned, tally.candidates_scanned);
+        EngineCounters::add(&self.counters.embeddings_emitted, tally.embeddings_emitted);
     }
 
     /// [`Enumerator::run_work_unit`] against a caller-provided (recycled)
     /// embedding, which must be freshly [`PartialEmbedding::reset_for`] this
     /// query's shape. Bindings made here are *not* unwound on the early-exit
     /// paths; the next `reset_for` clears them in O(query size).
-    fn run_work_unit_in(&self, unit: WorkUnit, embedding: &mut PartialEmbedding) {
+    fn run_work_unit_in(
+        &self,
+        unit: WorkUnit,
+        embedding: &mut PartialEmbedding,
+        tally: &mut UnitTally,
+    ) {
         let order = self.orders.for_start(unit.start);
         let qe = self.query.edge(unit.start);
 
@@ -205,7 +228,14 @@ impl<'a> Enumerator<'a> {
 
         // Verify the non-tree edges already fully bound by the start, then
         // recurse over the steps.
-        self.verify_non_tree_list(order, embedding, &order.initial_non_tree_checks, 0, 0);
+        self.verify_non_tree_list(
+            order,
+            embedding,
+            &order.initial_non_tree_checks,
+            0,
+            0,
+            tally,
+        );
     }
 
     /// From-scratch enumeration: bind every root candidate in turn and follow
@@ -214,6 +244,7 @@ impl<'a> Enumerator<'a> {
     /// empty).
     pub fn run_from_scratch(&self) {
         let order = self.orders.full();
+        let mut tally = UnitTally::default();
         EMBEDDING_SCRATCH.with(|cell| {
             let mut embedding = cell.borrow_mut();
             for v in self.debi.root_candidates_iter() {
@@ -232,9 +263,11 @@ impl<'a> Enumerator<'a> {
                     &order.initial_non_tree_checks,
                     0,
                     0,
+                    &mut tally,
                 );
             }
         });
+        self.add_tally(&tally);
     }
 
     /// Verify the `pending` non-tree edges starting at `index`; once the list
@@ -246,9 +279,10 @@ impl<'a> Enumerator<'a> {
         pending: &[QueryEdgeId],
         index: usize,
         next_step: usize,
+        tally: &mut UnitTally,
     ) {
         if index == pending.len() {
-            self.extend(order, embedding, next_step);
+            self.extend(order, embedding, next_step, tally);
             return;
         }
         let q = pending[index];
@@ -295,14 +329,20 @@ impl<'a> Enumerator<'a> {
                 continue;
             }
             embedding.bind_edge(q, cand.id);
-            self.verify_non_tree_list(order, embedding, pending, index + 1, next_step);
+            self.verify_non_tree_list(order, embedding, pending, index + 1, next_step, tally);
             embedding.unbind_edge(q);
         }
-        EngineCounters::add(&self.counters.candidates_scanned, scanned);
+        tally.candidates_scanned += scanned;
     }
 
     /// Extend the embedding with step `step_idx` of the matching order.
-    fn extend(&self, order: &MatchingOrder, embedding: &mut PartialEmbedding, step_idx: usize) {
+    fn extend(
+        &self,
+        order: &MatchingOrder,
+        embedding: &mut PartialEmbedding,
+        step_idx: usize,
+        tally: &mut UnitTally,
+    ) {
         if step_idx == order.steps.len() {
             if embedding.is_complete() {
                 // Pooled emit: freeze into a recycled shell so counting-only
@@ -312,7 +352,7 @@ impl<'a> Enumerator<'a> {
                 let mut shell = EmbeddingPool::acquire();
                 embedding.freeze_into(&mut shell);
                 self.sink.accept(shell, self.sign);
-                EngineCounters::add(&self.counters.embeddings_emitted, 1);
+                tally.embeddings_emitted += 1;
             }
             return;
         }
@@ -346,7 +386,7 @@ impl<'a> Enumerator<'a> {
         } else {
             self.graph.incoming(anchor)
         };
-        EngineCounters::add(&self.counters.candidates_scanned, entries.len() as u64);
+        tally.candidates_scanned += entries.len() as u64;
 
         for entry in entries {
             if let Some(excluded) = self.exclude {
@@ -405,7 +445,14 @@ impl<'a> Enumerator<'a> {
                 embedding.bind_vertex(step.new_vertex, new_data_vertex);
             }
             embedding.bind_edge(te.query_edge, edge.id);
-            self.verify_non_tree_list(order, embedding, &step.verify_non_tree, 0, step_idx + 1);
+            self.verify_non_tree_list(
+                order,
+                embedding,
+                &step.verify_non_tree,
+                0,
+                step_idx + 1,
+                tally,
+            );
             embedding.unbind_edge(te.query_edge);
             if newly_bound {
                 embedding.unbind_vertex(step.new_vertex);

@@ -47,14 +47,11 @@ impl VertexCandidacy {
     /// Recompute the bitmask of data vertex `v` from the current graph state
     /// and store it. Returns the new mask. The cache must already cover `v`.
     ///
-    /// This is the fused filtering kernel: one neighbourhood-profile sweep
-    /// per direction (collected into this thread's recycled scratch) answers
-    /// the f2/f3 counts for *every* query vertex at once, instead of
-    /// re-walking `v`'s adjacency run per `(query vertex, required label)`
-    /// pair as [`VertexRequirements::satisfied_by`] does.
-    ///
-    /// [`VertexRequirements::satisfied_by`]:
-    /// crate::filter::requirements::VertexRequirements::satisfied_by
+    /// One neighbourhood-profile sweep per direction answers the f2/f3
+    /// counts for every query vertex at once (see
+    /// [`QueryRequirements::mask_for_profile`]). The shared top-down pass
+    /// goes further and evaluates *every* standing query against one
+    /// profile, storing each result with [`VertexCandidacy::store`].
     pub fn recompute(
         &self,
         graph: &StreamingGraph,
@@ -63,19 +60,16 @@ impl VertexCandidacy {
     ) -> u64 {
         let vertex_label = graph.vertex_label(v);
         let mask = graph.with_neighborhood_profile(v, |profile| {
-            let mut mask = 0u64;
-            for u in 0..requirements.len() {
-                if requirements
-                    .for_vertex(QueryVertexId(u as u16))
-                    .satisfied_by_profile(vertex_label, profile)
-                {
-                    mask |= 1u64 << u;
-                }
-            }
-            mask
+            requirements.mask_for_profile(vertex_label, profile)
         });
-        self.bits[v.index()].store(mask, Ordering::Relaxed);
+        self.store(v, mask);
         mask
+    }
+
+    /// Store `mask` as the bitmask of `v`. The cache must already cover `v`.
+    #[inline]
+    pub fn store(&self, v: VertexId, mask: u64) {
+        self.bits[v.index()].store(mask, Ordering::Relaxed);
     }
 
     /// [`VertexCandidacy::recompute`] through the retained
@@ -96,7 +90,7 @@ impl VertexCandidacy {
                 mask |= 1u64 << u;
             }
         }
-        self.bits[v.index()].store(mask, Ordering::Relaxed);
+        self.store(v, mask);
         mask
     }
 

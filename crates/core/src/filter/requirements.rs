@@ -212,6 +212,24 @@ impl QueryRequirements {
         }
     }
 
+    /// The candidacy bitmask of a data vertex labelled `vertex_label` whose
+    /// neighbourhood statistics are `profile`: bit `u` is set iff query
+    /// vertex `u`'s requirements are satisfied. No graph traffic beyond the
+    /// already collected profile.
+    pub fn mask_for_profile(
+        &self,
+        vertex_label: VertexLabel,
+        profile: &NeighborhoodProfile,
+    ) -> u64 {
+        let mut mask = 0u64;
+        for (u, requirements) in self.per_vertex.iter().enumerate() {
+            if requirements.satisfied_by_profile(vertex_label, profile) {
+                mask |= 1u64 << u;
+            }
+        }
+        mask
+    }
+
     /// Requirements of query vertex `u`.
     pub fn for_vertex(&self, u: QueryVertexId) -> &VertexRequirements {
         &self.per_vertex[u.index()]

@@ -1,15 +1,26 @@
 //! Top-down filtering (Section V, rules f1–f3).
 //!
-//! The pass walks the unified traversal frontier and refreshes the index
-//! state that depends on it:
+//! The pass walks the unified traversal frontier **once for every standing
+//! query** and refreshes the index state that depends on it:
 //!
-//! 1. the candidacy masks of the affected vertices are recomputed (rules
-//!    f2/f3: label and local degree profile),
-//! 2. the DEBI row of every affected edge is recomputed in the BFS order of
-//!    the query tree: bit `u` is set iff the edge matches the tree edge
-//!    `(u_p, u)` under the user's `edgeMatcher()` *and* both endpoints are
-//!    candidates of the respective query vertices,
-//! 3. the `roots` bit vector is refreshed for the affected vertices.
+//! 1. *Vertex phase.* Each affected vertex's neighbourhood profile is
+//!    collected once, and every query's candidacy mask (rules f2/f3: label
+//!    and local degree profile) is evaluated against that one profile.
+//! 2. *Roots.* Each query's `roots` bit vector is refreshed for the affected
+//!    vertices from its new masks.
+//! 3. *Row phase.* The affected edge ids are sorted once and recomputed in
+//!    [`ROW_BLOCK`] runs. Within a run the queries loop outside and the
+//!    run's edges inside: every DEBI gets a contiguous row span, and the
+//!    run's edge records stay in L1 from one query to the next. Bit `u` of
+//!    a row is set iff the edge matches the tree edge `(u_p, u)` under the
+//!    user's `edgeMatcher()` *and* both endpoints are candidates of the
+//!    respective query vertices.
+//!
+//! Each phase is one parallel region over the whole frontier, however many
+//! queries share it. Every query's masks, roots, rows and counters come out
+//! exactly as if the pass ran for that query alone: the profile depends
+//! only on the graph and the vertex, and each query writes only its own
+//! index.
 //!
 //! The resulting DEBI contents are a superset of the edges that can
 //! participate in an embedding, which is the invariant enumeration relies
@@ -22,7 +33,7 @@ use crate::filter::candidacy::VertexCandidacy;
 use crate::filter::requirements::QueryRequirements;
 use crate::frontier::UnifiedFrontier;
 use crate::stats::EngineCounters;
-use mnemonic_graph::ids::{EdgeId, QueryEdgeId};
+use mnemonic_graph::ids::{EdgeId, QueryEdgeId, VertexId};
 use mnemonic_graph::multigraph::StreamingGraph;
 use mnemonic_query::query_graph::QueryGraph;
 use mnemonic_query::query_tree::QueryTree;
@@ -30,9 +41,9 @@ use rayon::prelude::*;
 use std::cell::RefCell;
 
 thread_local! {
-    /// Recycled sorted edge-id list for the batched row recompute; sorting
-    /// the frontier's affected edges makes each [`ROW_BLOCK`] run a
-    /// contiguous span of the DEBI row array.
+    /// Recycled sorted edge-id list for the row phase; sorting the
+    /// frontier's affected edges makes each [`ROW_BLOCK`] run a contiguous
+    /// span of every query's DEBI row array.
     static ROW_ORDER_SCRATCH: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -64,7 +75,172 @@ impl ColumnPlan {
     };
 }
 
-/// Immutable inputs of the top-down pass.
+/// One standing query's share of a [`SharedTopDownPass`]: its query-side
+/// constants, the index state the pass refreshes, and its column plans,
+/// hoisted once per pass.
+pub struct FilterTarget<'a> {
+    query: &'a QueryGraph,
+    tree: &'a QueryTree,
+    matcher: &'a dyn EdgeMatcher,
+    requirements: &'a QueryRequirements,
+    candidacy: &'a VertexCandidacy,
+    debi: &'a Debi,
+    counters: &'a EngineCounters,
+    plans: [ColumnPlan; MAX_DEBI_COLUMNS],
+}
+
+impl<'a> FilterTarget<'a> {
+    /// Bundle one query's filtering inputs and outputs. `candidacy` and
+    /// `debi` must already cover the graph's vertex and edge id bounds.
+    pub fn new(
+        query: &'a QueryGraph,
+        tree: &'a QueryTree,
+        matcher: &'a dyn EdgeMatcher,
+        requirements: &'a QueryRequirements,
+        candidacy: &'a VertexCandidacy,
+        debi: &'a Debi,
+        counters: &'a EngineCounters,
+    ) -> Self {
+        let mut plans = [ColumnPlan::EMPTY; MAX_DEBI_COLUMNS];
+        for (plan, te) in plans.iter_mut().zip(tree.tree_edges()) {
+            let column = tree
+                .debi_column(te.child)
+                .expect("non-root child always has a column");
+            *plan = ColumnPlan {
+                row_bit: 1u64 << column,
+                parent_bit: 1u64 << te.parent.index(),
+                child_bit: 1u64 << te.child.index(),
+                child_is_dst: te.child_is_dst,
+                query_edge: te.query_edge,
+            };
+        }
+        FilterTarget {
+            query,
+            tree,
+            matcher,
+            requirements,
+            candidacy,
+            debi,
+            counters,
+            plans,
+        }
+    }
+
+    /// Recompute this query's rows for one sorted run of edge ids: one
+    /// candidacy-mask load per endpoint per edge and one row store per
+    /// edge, with the two mask ANDs short-circuiting ahead of the dynamic
+    /// matcher call. A dead edge gets a zero row, which clears its recycled
+    /// slot.
+    fn recompute_run(&self, graph: &StreamingGraph, run: &[usize]) {
+        let ctx = MatcherContext::new(graph, self.query);
+        let plans = &self.plans[..self.tree.tree_edges().len()];
+        self.debi.recompute_rows(run, |edge_idx| {
+            let Some(edge) = graph.edge(EdgeId(edge_idx as u32)) else {
+                return 0;
+            };
+            let src_mask = self.candidacy.mask(edge.src);
+            let dst_mask = self.candidacy.mask(edge.dst);
+            let mut row = 0u64;
+            for plan in plans {
+                let (parent_mask, child_mask) = if plan.child_is_dst {
+                    (src_mask, dst_mask)
+                } else {
+                    (dst_mask, src_mask)
+                };
+                if parent_mask & plan.parent_bit != 0
+                    && child_mask & plan.child_bit != 0
+                    && self.matcher.edge_matches(&ctx, plan.query_edge, &edge)
+                {
+                    row |= plan.row_bit;
+                }
+            }
+            row
+        });
+    }
+}
+
+/// The top-down pass of every standing query over one shared frontier (see
+/// the module docs for its three phases).
+pub struct SharedTopDownPass<'a> {
+    /// The current data graph.
+    pub graph: &'a StreamingGraph,
+    /// The queries refreshed by this pass.
+    pub targets: &'a [FilterTarget<'a>],
+}
+
+impl SharedTopDownPass<'_> {
+    /// Run the pass over `frontier`, refreshing every target's candidacy,
+    /// roots and DEBI rows.
+    ///
+    /// `parallel` selects whether the vertex and row phases are spread over
+    /// the installed rayon pool; the sequential path exists for the
+    /// batch-size scalability experiment (Figure 12), which isolates the
+    /// benefit of shared traversal from thread-level parallelism.
+    pub fn run(&self, frontier: &UnifiedFrontier, parallel: bool) {
+        let graph = self.graph;
+        let targets = self.targets;
+        if targets.is_empty() {
+            return;
+        }
+
+        // Vertex phase: one profile sweep per affected vertex answers the
+        // f2/f3 counts of every query vertex of every query.
+        let refresh = |&v: &VertexId| {
+            let vertex_label = graph.vertex_label(v);
+            graph.with_neighborhood_profile(v, |profile| {
+                for t in targets {
+                    let mask = t.requirements.mask_for_profile(vertex_label, profile);
+                    t.candidacy.store(v, mask);
+                }
+            });
+        };
+        if parallel {
+            frontier.affected_vertices.par_iter().for_each(refresh);
+        } else {
+            frontier.affected_vertices.iter().for_each(refresh);
+        }
+
+        // Roots: refresh each query's roots bit vector from its new masks.
+        for t in targets {
+            let root = t.tree.root();
+            for &v in &frontier.affected_vertices {
+                t.debi
+                    .set_root(v.index(), t.candidacy.is_candidate(v, root));
+            }
+        }
+
+        // Row phase: one sorted copy of the affected edges, cut into
+        // cache-blocked runs; queries outside, the run's edges inside.
+        ROW_ORDER_SCRATCH.with(|cell| {
+            let mut order = cell.borrow_mut();
+            order.clear();
+            order.extend(frontier.affected_edges.iter().map(|e| e.index()));
+            order.sort_unstable();
+            let recompute = |run: &[usize]| {
+                for t in targets {
+                    t.recompute_run(graph, run);
+                }
+            };
+            if parallel {
+                order.par_chunks(ROW_BLOCK).for_each(recompute);
+            } else {
+                order.chunks(ROW_BLOCK).for_each(recompute);
+            }
+        });
+
+        let edges = frontier.affected_edges.len();
+        for t in targets {
+            EngineCounters::add(&t.counters.edges_traversed_top_down, edges as u64);
+            EngineCounters::add(
+                &t.counters.debi_writes,
+                (edges * t.tree.debi_width()) as u64,
+            );
+        }
+    }
+}
+
+/// The top-down pass of a single query: the inputs that do not change
+/// between batches, run through a one-query [`SharedTopDownPass`].
 pub struct TopDownPass<'a> {
     /// The current data graph.
     pub graph: &'a StreamingGraph,
@@ -79,12 +255,8 @@ pub struct TopDownPass<'a> {
 }
 
 impl<'a> TopDownPass<'a> {
-    /// Run the pass over `frontier`, refreshing `candidacy` and `debi`.
-    ///
-    /// `parallel` selects whether the per-vertex and per-edge work is spread
-    /// over the rayon pool; the sequential path exists for the batch-size
-    /// scalability experiment (Figure 12), which isolates the benefit of
-    /// shared traversal from thread-level parallelism.
+    /// Run the pass over `frontier`, refreshing `candidacy` and `debi`
+    /// (see [`SharedTopDownPass::run`] for `parallel`).
     pub fn run(
         &self,
         frontier: &UnifiedFrontier,
@@ -93,13 +265,28 @@ impl<'a> TopDownPass<'a> {
         counters: &EngineCounters,
         parallel: bool,
     ) {
-        self.run_impl(frontier, candidacy, debi, counters, parallel, false)
+        let target = FilterTarget::new(
+            self.query,
+            self.tree,
+            self.matcher,
+            self.requirements,
+            candidacy,
+            debi,
+            counters,
+        );
+        SharedTopDownPass {
+            graph: self.graph,
+            targets: std::slice::from_ref(&target),
+        }
+        .run(frontier, parallel);
     }
 
-    /// [`TopDownPass::run`] with the candidacy refresh routed through the
-    /// retained per-call-allocating kernels
-    /// ([`VertexCandidacy::recompute_baseline`]); identical results,
-    /// pre-optimisation cost profile. Selected by the session when
+    /// [`TopDownPass::run`] through the retained pre-optimisation kernels:
+    /// per-call-allocating candidacy checks
+    /// ([`VertexCandidacy::recompute_baseline`]) and a row kernel that
+    /// re-derives each DEBI column and probes candidacy bit-at-a-time.
+    /// Identical results, pre-optimisation cost profile. Selected by the
+    /// session when
     /// [`hot_path_baseline`](crate::engine::EngineConfig::hot_path_baseline)
     /// is set.
     pub fn run_baseline(
@@ -110,27 +297,10 @@ impl<'a> TopDownPass<'a> {
         counters: &EngineCounters,
         parallel: bool,
     ) {
-        self.run_impl(frontier, candidacy, debi, counters, parallel, true)
-    }
-
-    fn run_impl(
-        &self,
-        frontier: &UnifiedFrontier,
-        candidacy: &VertexCandidacy,
-        debi: &Debi,
-        counters: &EngineCounters,
-        parallel: bool,
-        baseline_candidacy: bool,
-    ) {
         let ctx = MatcherContext::new(self.graph, self.query);
 
-        // Phase 1: refresh vertex candidacy (f2/f3) for affected vertices.
-        let refresh = |&v: &mnemonic_graph::ids::VertexId| {
-            if baseline_candidacy {
-                candidacy.recompute_baseline(self.graph, self.requirements, v);
-            } else {
-                candidacy.recompute(self.graph, self.requirements, v);
-            }
+        let refresh = |&v: &VertexId| {
+            candidacy.recompute_baseline(self.graph, self.requirements, v);
         };
         if parallel {
             frontier.affected_vertices.par_iter().for_each(refresh);
@@ -138,107 +308,42 @@ impl<'a> TopDownPass<'a> {
             frontier.affected_vertices.iter().for_each(refresh);
         }
 
-        // Phase 2: refresh the roots bit vector for affected vertices.
         let root = self.tree.root();
         for &v in &frontier.affected_vertices {
             debi.set_root(v.index(), candidacy.is_candidate(v, root));
         }
 
-        // Phase 3: recompute DEBI rows of affected edges in BFS column order.
         let tree_edges = self.tree.tree_edges();
-        if baseline_candidacy {
-            // Retained pre-optimisation row kernel (`hot_path_gate` A/B):
-            // per tree edge, re-derive the DEBI column and probe candidacy
-            // bit-at-a-time through `is_candidate`.
-            let recompute_row = |edge_id: &EdgeId| {
-                let Some(edge) = self.graph.edge(*edge_id) else {
-                    // The edge died earlier in this batch; clear its row.
-                    debi.clear_row(edge_id.index());
-                    return;
-                };
-                let mut row = 0u64;
-                for te in tree_edges {
-                    let column = self
-                        .tree
-                        .debi_column(te.child)
-                        .expect("non-root child always has a column");
-                    let (vp, vc) = if te.child_is_dst {
-                        (edge.src, edge.dst)
-                    } else {
-                        (edge.dst, edge.src)
-                    };
-                    let bit = self.matcher.edge_matches(&ctx, te.query_edge, &edge)
-                        && candidacy.is_candidate(vp, te.parent)
-                        && candidacy.is_candidate(vc, te.child);
-                    if bit {
-                        row |= 1u64 << column;
-                    }
-                }
-                debi.write_row(edge_id.index(), row);
+        let recompute_row = |edge_id: &EdgeId| {
+            let Some(edge) = self.graph.edge(*edge_id) else {
+                // The edge died earlier in this batch; clear its row.
+                debi.clear_row(edge_id.index());
+                return;
             };
-            if parallel {
-                frontier.affected_edges.par_iter().for_each(recompute_row);
-            } else {
-                frontier.affected_edges.iter().for_each(recompute_row);
-            }
-        } else {
-            // Batched row kernel: hoist the per-column constants (DEBI
-            // column bit, endpoint candidacy bits, query edge) out of the
-            // edge loop once per pass, then recompute whole rows in sorted
-            // cache-blocked runs — one candidacy-mask load per endpoint per
-            // edge and one row store per edge, with the two mask ANDs
-            // short-circuiting ahead of the dynamic matcher call.
-            let mut plans = [ColumnPlan::EMPTY; MAX_DEBI_COLUMNS];
-            for (plan, te) in plans.iter_mut().zip(tree_edges) {
+            let mut row = 0u64;
+            for te in tree_edges {
                 let column = self
                     .tree
                     .debi_column(te.child)
                     .expect("non-root child always has a column");
-                *plan = ColumnPlan {
-                    row_bit: 1u64 << column,
-                    parent_bit: 1u64 << te.parent.index(),
-                    child_bit: 1u64 << te.child.index(),
-                    child_is_dst: te.child_is_dst,
-                    query_edge: te.query_edge,
-                };
-            }
-            let plans = &plans[..tree_edges.len()];
-            let row_of = |edge_idx: usize| -> u64 {
-                let Some(edge) = self.graph.edge(EdgeId(edge_idx as u32)) else {
-                    // Dead edge: a zero row clears the recycled slot.
-                    return 0;
-                };
-                let src_mask = candidacy.mask(edge.src);
-                let dst_mask = candidacy.mask(edge.dst);
-                let mut row = 0u64;
-                for plan in plans {
-                    let (parent_mask, child_mask) = if plan.child_is_dst {
-                        (src_mask, dst_mask)
-                    } else {
-                        (dst_mask, src_mask)
-                    };
-                    if parent_mask & plan.parent_bit != 0
-                        && child_mask & plan.child_bit != 0
-                        && self.matcher.edge_matches(&ctx, plan.query_edge, &edge)
-                    {
-                        row |= plan.row_bit;
-                    }
-                }
-                row
-            };
-            ROW_ORDER_SCRATCH.with(|cell| {
-                let mut order = cell.borrow_mut();
-                order.clear();
-                order.extend(frontier.affected_edges.iter().map(|e| e.index()));
-                order.sort_unstable();
-                if parallel {
-                    order
-                        .par_chunks(ROW_BLOCK)
-                        .for_each(|run| debi.recompute_rows(run, row_of));
+                let (vp, vc) = if te.child_is_dst {
+                    (edge.src, edge.dst)
                 } else {
-                    debi.recompute_rows(&order, row_of);
+                    (edge.dst, edge.src)
+                };
+                let bit = self.matcher.edge_matches(&ctx, te.query_edge, &edge)
+                    && candidacy.is_candidate(vp, te.parent)
+                    && candidacy.is_candidate(vc, te.child);
+                if bit {
+                    row |= 1u64 << column;
                 }
-            });
+            }
+            debi.write_row(edge_id.index(), row);
+        };
+        if parallel {
+            frontier.affected_edges.par_iter().for_each(recompute_row);
+        } else {
+            frontier.affected_edges.iter().for_each(recompute_row);
         }
 
         EngineCounters::add(

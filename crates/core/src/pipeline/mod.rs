@@ -33,6 +33,9 @@
 
 mod stages;
 
+#[cfg(test)]
+mod filtering_differential;
+
 pub use stages::{DeletionResolve, Enumerate, Filtering, FrontierBuild, GraphUpdate};
 
 use crate::enumerate::WorkUnit;

@@ -7,7 +7,7 @@
 //! |---|---|---|
 //! | [`GraphUpdate`] | edge materialisation / deletion + spill bookkeeping | `graph_update` |
 //! | [`FrontierBuild`] | [`UnifiedFrontier::build`] | `frontier` |
-//! | [`Filtering`] | the per-query top-down DEBI refresh over the shared frontier | `top_down` / `bottom_up` |
+//! | [`Filtering`] | one cross-query top-down pass over the shared frontier: candidacy, roots and DEBI rows of every standing query | `top_down` / `bottom_up` |
 //! | [`DeletionResolve`] | event → edge-id resolution + eviction expansion | `frontier` |
 //! | [`Enumerate`] | pooled heaviest-first work-unit enumeration for all queries | `enumeration` |
 //!
@@ -21,7 +21,7 @@ use super::DeltaBatch;
 use crate::embedding::{EmbeddingSink, Sign};
 use crate::enumerate::{Enumerator, WorkUnit};
 use crate::error::MnemonicError;
-use crate::filter::TopDownPass;
+use crate::filter::{FilterTarget, SharedTopDownPass, TopDownPass};
 use crate::frontier::UnifiedFrontier;
 use crate::hot_path_baseline::BaselineEnumerator;
 use crate::parallel;
@@ -273,26 +273,31 @@ impl Filtering {
         batch.timings.bottom_up += start.elapsed();
     }
 
-    /// The shared refresh: one [`TopDownPass`] per standing query over the
-    /// given frontier. Also used by
-    /// [`MnemonicSession::bootstrap`] (untimed) and exposed crate-wide for
-    /// that purpose.
+    /// The shared refresh: one [`SharedTopDownPass`] over the given frontier
+    /// for all standing queries — each affected vertex's profile collected
+    /// once, the affected edges sorted once, one parallel region per phase.
+    /// Also used by [`MnemonicSession::bootstrap`] (untimed) and exposed
+    /// crate-wide for that purpose.
     pub(crate) fn run_all(session: &mut MnemonicSession, frontier: &UnifiedFrontier) {
         let graph = &session.graph;
-        let pool = session.pool.as_ref();
-        let parallel_enabled = session.config.parallel;
-        let baseline = session.config.hot_path_baseline;
         for qs in session.queries.iter_mut() {
             qs.ensure_capacity(graph);
-            let pass = TopDownPass {
-                graph,
-                query: &qs.query,
-                tree: &qs.tree,
-                matcher: qs.matcher.as_ref(),
-                requirements: &qs.requirements,
-            };
-            parallel::install(pool, || {
-                if baseline {
+        }
+        let queries = &session.queries;
+        let pool = session.pool.as_ref();
+        let parallel_enabled = session.config.parallel;
+        if session.config.hot_path_baseline {
+            // Retained pre-optimisation kernels, one pass per query: the
+            // reference side of the `hot_path_gate` A/B.
+            for qs in queries {
+                let pass = TopDownPass {
+                    graph,
+                    query: &qs.query,
+                    tree: &qs.tree,
+                    matcher: qs.matcher.as_ref(),
+                    requirements: &qs.requirements,
+                };
+                parallel::install(pool, || {
                     pass.run_baseline(
                         frontier,
                         &qs.candidacy,
@@ -300,17 +305,29 @@ impl Filtering {
                         &qs.counters,
                         parallel_enabled,
                     );
-                } else {
-                    pass.run(
-                        frontier,
-                        &qs.candidacy,
-                        &qs.debi,
-                        &qs.counters,
-                        parallel_enabled,
-                    );
-                }
-            });
+                });
+            }
+            return;
         }
+        let targets: Vec<FilterTarget<'_>> = queries
+            .iter()
+            .map(|qs| {
+                FilterTarget::new(
+                    &qs.query,
+                    &qs.tree,
+                    qs.matcher.as_ref(),
+                    &qs.requirements,
+                    &qs.candidacy,
+                    &qs.debi,
+                    &qs.counters,
+                )
+            })
+            .collect();
+        let pass = SharedTopDownPass {
+            graph,
+            targets: &targets,
+        };
+        parallel::install(pool, || pass.run(frontier, parallel_enabled));
     }
 }
 

@@ -8,9 +8,10 @@
 //! [`registered`](MnemonicSession::register_query) against it (and
 //! deregistered again under churn). Every batch is then ingested **once** —
 //! one graph update, one unified traversal frontier, one deletion
-//! resolution — and only the per-query filtering and enumeration work fans
-//! out, with the work units of *all* queries pooled and scheduled
-//! heaviest-first across one shared work-stealing pool. K standing queries
+//! resolution, one filtering pass that refreshes every query's index
+//! together — and only enumeration fans out per query, with the work units
+//! of *all* queries pooled and scheduled heaviest-first across one shared
+//! work-stealing pool. K standing queries
 //! share graph storage and scheduling instead of paying for K independent
 //! engines.
 //!
@@ -1053,9 +1054,9 @@ impl MnemonicSession {
     }
 
     /// Process one snapshot for every standing query: the batch's graph
-    /// update, frontier construction and deletion resolution run **once**,
-    /// then filtering and enumeration fan out per query over the shared
-    /// pool. Embeddings are delivered through each query's [`QueryHandle`].
+    /// update, frontier construction, deletion resolution and the filtering
+    /// pass run **once** for all queries, then enumeration fans out per
+    /// query over the shared pool. Embeddings are delivered through each query's [`QueryHandle`].
     ///
     /// # Errors
     /// [`MnemonicError::DeadEdge`] when a freshly inserted edge cannot be

@@ -4,8 +4,8 @@
 //! indexes and result channels).
 //!
 //! A [`MnemonicSession`] amortises the *graph-side* phases — one update, one
-//! frontier, one deletion resolution per batch — but the per-query filtering
-//! and enumeration of all K queries still run inside one session, bounded by
+//! frontier, one deletion resolution, one filtering pass per batch — but the
+//! enumeration of all K queries still runs inside one session, bounded by
 //! the shared pool's ability to interleave their work units.
 //! [`ShardedSession`] is the next scaling step: every delta batch is
 //! **broadcast** to all N shards, the shards process it concurrently (each
